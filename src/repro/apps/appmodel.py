@@ -25,27 +25,50 @@ import numpy as np
 
 from repro.apps.profile import AppProfile
 from repro.isa.opcodes import Category, FUClass, Latency
-from repro.isa.trace import Trace, TraceRecord
+from repro.isa.trace import CAT_CODE, FU_CODE, ColumnarTrace
 from repro.machines import get_machine
-from repro.timing.core import CoreModel
-from repro.timing.simulator import simulate_kernel
+from repro.timing.simulator import simulate_kernel, simulate_trace_stack
 
 #: Size of the synthetic scalar trace used to estimate scalar-region IPC.
 SCALAR_TRACE_LEN = 24_000
 
 
+#: Per-kind columns of the synthetic scalar instructions, indexed by the
+#: ``kinds`` draw of :func:`make_scalar_trace`: load, branch, ALU op.
+_KIND_NAMES = ("ld", "br", "alu")
+_KIND_CAT = np.array(
+    [CAT_CODE[Category.SMEM], CAT_CODE[Category.SCTRL], CAT_CODE[Category.SARITH]],
+    dtype=np.uint8,
+)
+_KIND_FU = np.array(
+    [FU_CODE[FUClass.MEM], FU_CODE[FUClass.INT], FU_CODE[FUClass.INT]],
+    dtype=np.uint8,
+)
+_KIND_LAT = np.array([0, Latency.BRANCH, Latency.INT_ALU], dtype=np.int32)
+
+
 def make_scalar_trace(
     smem_frac: float, sctrl_frac: float, seed: int = 7, length: int = SCALAR_TRACE_LEN
-) -> Trace:
+) -> ColumnarTrace:
     """A synthetic scalar trace with a given category mix.
 
     Dependences have geometric distance (plentiful but finite ILP),
     branches are 85%-taken loop-shaped over 16 static sites, and loads
     walk a 24KB working set with a 3% L2-resident tail -- the behaviour
     of the protocol/entropy-coding scalar code around the kernels.
+
+    The trace is built directly as columns.  Every load and ALU op (a
+    *writer*) takes the next SSA id.  Each instruction reads the
+    ``d``-th most recent entry of a window holding id 0 and then the
+    writers' ids, trimmed to its last 64 entries, where ``d`` is its
+    geometric distance draw; when ``d`` exceeds the window it reads
+    nothing.  Branches write nothing but hand an id back, so the writer
+    after a branch reuses the id of the writer before it, and in
+    branch-heavy mixes (``sctrl_frac`` above about 0.4) the ids drift
+    negative.  This reuse quirk is part of the model: the fig. 5-7
+    goldens pin it, so removing it is a model change.
     """
     rng = np.random.default_rng(seed)
-    trace = Trace(f"scalar-mix-{smem_frac:.2f}-{sctrl_frac:.2f}")
     kinds = rng.choice(
         3, size=length, p=[smem_frac, sctrl_frac, 1.0 - smem_frac - sctrl_frac]
     )
@@ -56,52 +79,48 @@ def make_scalar_trace(
     addr_wave = rng.integers(0, 24 * 1024, size=length)
     addr_l2 = rng.integers(0, 256 * 1024, size=length)
     sites = rng.integers(1, 17, size=length)
-    mem_stream = 4 * 1024 * 1024
-    next_id = 1
-    recent = [0]
-    for i in range(length):
-        srcs = ()
-        dist = int(dep_dist[i])
-        if dist <= len(recent):
-            srcs = (recent[-dist],)
-        kind = kinds[i]
-        if kind == 0:
-            if is_mem[i]:
-                mem_stream += 128
-                addr = mem_stream
-            elif is_l2[i]:
-                addr = int(addr_l2[i])
-            else:
-                addr = int(addr_wave[i])
-            trace.append(
-                TraceRecord(
-                    name="ld", category=Category.SMEM, fu=FUClass.MEM,
-                    latency=0, dsts=(next_id,), srcs=srcs, addr=64 + addr,
-                    row_bytes=4,
-                )
-            )
-        elif kind == 1:
-            trace.append(
-                TraceRecord(
-                    name="br", category=Category.SCTRL, fu=FUClass.INT,
-                    latency=Latency.BRANCH, srcs=srcs, is_branch=True,
-                    taken=bool(taken[i]), pc=int(sites[i]),
-                )
-            )
-            next_id -= 1  # branches produce no value
-        else:
-            trace.append(
-                TraceRecord(
-                    name="alu", category=Category.SARITH, fu=FUClass.INT,
-                    latency=Latency.INT_ALU, dsts=(next_id,), srcs=srcs,
-                )
-            )
-        if kind != 1:
-            recent.append(next_id)
-            if len(recent) > 64:
-                recent.pop(0)
-            next_id += 1
-    return trace
+
+    load = kinds == 0
+    branch = kinds == 1
+    writer = ~branch
+    # Writers before each instruction; the id counter starts at 1, rises
+    # by one per writer and falls by one per branch.
+    before = np.cumsum(writer) - writer
+    next_id = 1 + 2 * before - np.arange(length)
+    dst_ids = next_id[writer]
+    window = np.concatenate(([0], dst_ids))
+    has_src = dep_dist <= np.minimum(64, 1 + before)
+    src_ids = window[(1 + before - dep_dist)[has_src]]
+
+    stream = 4 * 1024 * 1024 + 128 * np.cumsum(load & is_mem)
+    addr = np.where(is_mem, stream, np.where(is_l2, addr_l2, addr_wave))
+
+    # Mnemonics are pooled in order of first appearance.
+    present, first = np.unique(kinds, return_index=True)
+    order = present[np.argsort(first)]
+    pool_id = np.zeros(len(_KIND_NAMES), dtype=np.uint32)
+    pool_id[order] = np.arange(len(order))
+
+    return ColumnarTrace(
+        f"scalar-mix-{smem_frac:.2f}-{sctrl_frac:.2f}",
+        tuple(_KIND_NAMES[code] for code in order),
+        name_id=pool_id[kinds],
+        category=_KIND_CAT[kinds],
+        fu=_KIND_FU[kinds],
+        latency=_KIND_LAT[kinds],
+        addr=np.where(load, 64 + addr, -1).astype(np.int64),
+        row_bytes=np.where(load, 4, 0).astype(np.int32),
+        rows=np.ones(length, dtype=np.int32),
+        stride=np.zeros(length, dtype=np.int64),
+        pc=np.where(branch, sites, 0).astype(np.int64),
+        is_store=np.zeros(length, dtype=bool),
+        is_branch=branch,
+        taken=branch & taken,
+        src_off=np.concatenate(([0], np.cumsum(has_src))).astype(np.int64),
+        src_ids=src_ids.astype(np.int64),
+        dst_off=np.concatenate(([0], np.cumsum(writer))).astype(np.int64),
+        dst_ids=dst_ids.astype(np.int64),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +143,8 @@ def scalar_ipc(way: int, smem_frac_pct: int, sctrl_frac_pct: int) -> float:
 
     # Scalar resources depend only on the width; resolve through the
     # registry so non-paper ways (e.g. 16) derive from the curves.
-    config = get_machine("mmx64", way).core
+    spec = get_machine("mmx64", way)
+    config = spec.core
     store = default_store()
     key = None
     if store is not None:
@@ -142,9 +162,7 @@ def scalar_ipc(way: int, smem_frac_pct: int, sctrl_frac_pct: int) -> float:
         if stored is not None:
             return float(stored["ipc"])
     trace = make_scalar_trace(smem_frac_pct / 100.0, sctrl_frac_pct / 100.0)
-    model = CoreModel(config)
-    model.hier.warm(trace)
-    result = model.run(trace)
+    (result,) = simulate_trace_stack(trace, [(config, spec.mem)])
     if key is not None:
         save_payload(store, "scalar-ipc", key, {"ipc": result.ipc})
     return result.ipc

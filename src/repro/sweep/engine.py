@@ -38,11 +38,7 @@ from repro.sweep.store import (
 )
 from repro.machines import get_machine
 from repro.machines.spec import CoreConfig, MemHierConfig
-from repro.timing.simulator import (
-    KernelTiming,
-    simulate_trace,
-    simulate_trace_stack,
-)
+from repro.timing.simulator import KernelTiming, simulate_trace_stack
 
 #: Sentinel distinguishing "use the default store" from "no store".
 _USE_DEFAULT = object()
@@ -443,7 +439,7 @@ def compute_point(point: SweepPoint, store: Any = _USE_DEFAULT) -> KernelTiming:
     spec = KERNELS[point.kernel]
     cols = acquire_trace(point, store)
     config, mem = resolve_configs(point)
-    result = simulate_trace(cols, config, mem)
+    (result,) = simulate_trace_stack(cols, [(config, mem)])
     _SIM_COUNT += 1
     return KernelTiming(
         kernel=point.kernel,
@@ -473,8 +469,9 @@ def compute_points(
     exactly (env gates, no compiled kernel) fall back to the scalar
     model per point inside :func:`~repro.timing.simulator.simulate_trace_stack`.
 
-    A bounded compute budget keeps the scalar per-point path so
-    :class:`SweepInterrupted` fires at exactly the budgeted point.
+    A bounded compute budget times point by point (each a one-pair
+    stack) so :class:`SweepInterrupted` fires at exactly the budgeted
+    point.
     """
     from repro.kernels.registry import KERNELS
 

@@ -259,11 +259,17 @@ class BatchCoreModel:
         src_ids = np.ascontiguousarray(cols.src_ids, dtype=np.int64)
         dst_off = np.ascontiguousarray(cols.dst_off, dtype=np.int64)
         dst_ids = np.ascontiguousarray(cols.dst_ids, dtype=np.int64)
+        ids = np.concatenate((src_ids, dst_ids))
         n_regs = 0
-        if len(src_ids):
-            n_regs = int(src_ids.max()) + 1
-        if len(dst_ids):
-            n_regs = max(n_regs, int(dst_ids.max()) + 1)
+        if len(ids):
+            # The kernel indexes its scoreboard by id and ids are only
+            # ever compared for equality, so shifting negative ids (the
+            # synthetic scalar mixes hand ids back on every branch) up to
+            # zero is exact.
+            low = min(int(ids.min()), 0)
+            if low:
+                src_ids, dst_ids = src_ids - low, dst_ids - low
+            n_regs = int(ids.max()) - low + 1
         # The kernel scoreboards register readiness in a flat array; the
         # trace IR's SSA ids are dense, so this only trips on hand-built
         # traces with huge sparse ids -- scalar fallback handles those.

@@ -49,13 +49,14 @@ def simulate_trace_stack(
     """Time one trace on a whole stack of configurations.
 
     The batched counterpart of calling :func:`simulate_trace` once per
-    ``(config, mem_config)`` pair, and value-identical to doing so: the
-    stack runs through :class:`~repro.timing.batch.BatchCoreModel` in
-    one pass where permitted, and any
-    :class:`~repro.timing.batch.BatchTimingDivergence` (env gates, no
-    usable compiled kernel) falls back to the scalar model per point.
+    ``(config, mem_config)`` pair, and value-identical to doing so: every
+    stack, a one-point stack included, runs through
+    :class:`~repro.timing.batch.BatchCoreModel` in one pass where
+    permitted, and any :class:`~repro.timing.batch.BatchTimingDivergence`
+    (env gates, no usable compiled kernel) falls back to the scalar
+    model per point.
     """
-    if batch_enabled() and len(specs) > 1:
+    if batch_enabled():
         from repro.timing.batch import BatchTimingDivergence
 
         try:

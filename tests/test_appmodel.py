@@ -3,9 +3,34 @@
 import pytest
 
 from repro.apps import APP_NAMES, app_instruction_counts, app_timing, run_app_profile
-from repro.apps.appmodel import make_scalar_trace, scalar_ipc
+from repro.apps.appmodel import SCALAR_TRACE_LEN, make_scalar_trace, scalar_ipc
 from repro.apps.profile import AppProfile, COSTS, tally_cost
 from repro.isa.opcodes import Category
+from repro.machines import get_machine
+from repro.timing.core import CoreModel
+
+#: (smem %, sctrl %) of the five applications' scalar regions.
+PAPER_MIXES = [(31, 4), (29, 4), (31, 6), (28, 9), (40, 0)]
+
+#: ``ColumnarTrace.digest()`` of ``make_scalar_trace(smem, sctrl,
+#: length=n)``, frozen from the record-at-a-time builder the columnar one
+#: replaced: the paper mixes, edge mixes (no loads or branches, branch
+#: heavy with negative SSA ids, all loads) and the short lengths above.
+SCALAR_MIX_DIGESTS = {
+    (0.31, 0.04, SCALAR_TRACE_LEN): "085237a71a1489d4cf55de1c4892d4f9e5a197ef0d0896f4f076de80ba23d181",
+    (0.29, 0.04, SCALAR_TRACE_LEN): "2404e4a7500ef87cdcbfa0e6db64f29ef04c7181c4bc5976d5bc48b1050cf16b",
+    (0.31, 0.06, SCALAR_TRACE_LEN): "eeba7cf4e1c077c9fea55b5683a5fcf8cc763c668df809fbaff2da65642305a8",
+    (0.28, 0.09, SCALAR_TRACE_LEN): "e6c5be5611074b6f76cae9512ff2f555cfb76ffd586916f91e0f5fc026fb04a3",
+    (0.40, 0.00, SCALAR_TRACE_LEN): "2b811bc74b1e4ee500b1fcf2d7c376e33d9f2d03a0c7e19e880444a911f4d6f5",
+    (0.00, 0.00, SCALAR_TRACE_LEN): "74575c058b8678f1038683460157808e4f163beb5d4087c0715a57b140ca2a8e",
+    (0.10, 0.60, SCALAR_TRACE_LEN): "1982907f9231c570b5e244eecd20f05eec677d3aa6f88ebafc6112491ada94ac",
+    (0.50, 0.50, SCALAR_TRACE_LEN): "187ac8c7713fea851f8a38ce9c81c57dd8896b7ba534d42876d8fc9dc6df63ee",
+    (1.00, 0.00, SCALAR_TRACE_LEN): "04577dc3386b488a10b805c82f4f3c9c23fc81d5daa8d5be826f953a80a29c7d",
+    (0.30, 0.05, 5000): "e3418b6ba8b64d4f126b6e8cc9f6707ed22dc62582d82742824772e40a49d28e",
+    (0.30, 0.05, 20000): "2f34e66a16da6d436ad751f76ee182b407e7a1b9434c673f20be535e5a077d85",
+    (0.20, 0.05, 3000): "884185d9c19c97f5d12478eff6ada27ec973534056910e098bfe61fe1da89b70",
+    (0.25, 0.04, 2000): "8e482dd4e349778601be398a4969f59c6cb279402e1d45720aff07f26b50631d",
+}
 
 
 class TestAppProfile:
@@ -70,6 +95,12 @@ class TestScalarTrace:
         assert [r.name for r in a] == [r.name for r in b]
         assert [r.addr for r in a] == [r.addr for r in b]
 
+    @pytest.mark.parametrize("mix", sorted(SCALAR_MIX_DIGESTS))
+    def test_frozen_digest(self, mix):
+        smem, sctrl, length = mix
+        trace = make_scalar_trace(smem, sctrl, length=length)
+        assert trace.digest() == SCALAR_MIX_DIGESTS[mix]
+
 
 class TestScalarIPC:
     def test_reasonable_range(self):
@@ -85,6 +116,16 @@ class TestScalarIPC:
 
     def test_cached(self):
         assert scalar_ipc(2, 25, 5) == scalar_ipc(2, 25, 5)
+
+    @pytest.mark.parametrize("way", [2, 4, 8, 16])
+    @pytest.mark.parametrize("smem,sctrl", PAPER_MIXES + [(10, 60)])
+    def test_equals_core_model(self, smem, sctrl, way):
+        """The compiled-kernel timing equals a direct scalar-model run
+        (the branch-heavy 10/60 mix has negative SSA ids)."""
+        trace = make_scalar_trace(smem / 100, sctrl / 100)
+        model = CoreModel(get_machine("mmx64", way).core)
+        model.hier.warm(trace)
+        assert scalar_ipc(way, smem, sctrl) == model.run(trace).ipc
 
 
 class TestAppTiming:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.appmodel import make_scalar_trace
 from repro.isa.opcodes import Category, FUClass, Latency
 from repro.isa.trace import Trace
 from repro.kernels.base import execute
@@ -85,6 +86,21 @@ def run_batch(specs, cols, warm=True):
         os.environ.pop(REFERENCE_ENV, None)
         os.environ.pop(KERNEL_ENV, None)
         return BatchCoreModel(specs).run(cols, warm=warm)
+
+
+def spy_batch_runs(monkeypatch):
+    """Clear the env gates and record the stack size of every batch run."""
+    calls = []
+    real = BatchCoreModel.run
+
+    def spy(self, trace, warm=True):
+        calls.append(len(self.specs))
+        return real(self, trace, warm=warm)
+
+    monkeypatch.setattr(BatchCoreModel, "run", spy)
+    monkeypatch.delenv(REFERENCE_ENV, raising=False)
+    monkeypatch.delenv(KERNEL_ENV, raising=False)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +184,37 @@ class TestDifferential:
     def test_stack_driver_uses_batch_once(self, monkeypatch):
         """simulate_trace_stack routes a multi-point stack through one
         BatchCoreModel pass when batching is enabled."""
-        calls = []
-        real = BatchCoreModel.run
-
-        def spy(self, trace, warm=True):
-            calls.append(len(self.specs))
-            return real(self, trace, warm=warm)
-
-        monkeypatch.setattr(BatchCoreModel, "run", spy)
-        monkeypatch.delenv(REFERENCE_ENV, raising=False)
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        calls = spy_batch_runs(monkeypatch)
         cols = trace_of("addblock", "mmx64")
         specs = paper_stack()
         assert batch_enabled()
         got = simulate_trace_stack(cols, specs)
         assert calls == [len(specs)]
         assert_results_identical(got, scalar_results(cols, specs))
+
+    def test_single_point_stack_uses_batch_path(self, monkeypatch):
+        """A stack of one runs on the compiled kernel too: every timing
+        has one fast path, and the scalar model is only the fallback."""
+        calls = spy_batch_runs(monkeypatch)
+        cols = trace_of("addblock", "mmx64")
+        specs = paper_stack()[:1]
+        got = simulate_trace_stack(cols, specs)
+        assert calls == [1]
+        assert_results_identical(got, scalar_results(cols, specs))
+
+    @pytest.mark.parametrize("smem,sctrl", [(10, 60), (20, 40), (50, 50)])
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_negative_ssa_ids_match_scalar(self, smem, sctrl, points):
+        """Branch-heavy synthetic scalar mixes drive SSA ids below zero;
+        the kernel's flat scoreboard must time them exactly instead of
+        indexing out of bounds."""
+        cols = make_scalar_trace(smem / 100, sctrl / 100)
+        assert min(cols.src_ids.min(), cols.dst_ids.min()) < 0
+        specs = [
+            (get_machine("mmx64", way).core, get_machine("mmx64", way).mem)
+            for way in (2, 4)[:points]
+        ]
+        assert_results_identical(run_batch(specs, cols), scalar_results(cols, specs))
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +266,6 @@ class TestDivergenceFallback:
         assert_results_identical(
             simulate_trace_stack(cols, specs), scalar_results(cols, specs)
         )
-
-    def test_single_point_stack_uses_scalar_path(self, monkeypatch):
-        """No batching overhead for a stack of one."""
-        def boom(self, trace, warm=True):
-            raise AssertionError("batch path used for a single point")
-
-        monkeypatch.setattr(BatchCoreModel, "run", boom)
-        cols = trace_of("addblock", "mmx64")
-        specs = paper_stack()[:1]
-        got = simulate_trace_stack(cols, specs)
-        assert_results_identical(got, scalar_results(cols, specs))
 
 
 class TestReferenceGate:
