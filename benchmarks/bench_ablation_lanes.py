@@ -1,6 +1,6 @@
 """Ablation: vector lane count of the matrix datapath.
 
-DESIGN.md calls out the lane organisation (Fig. 2 of the paper) as the
+The paper presents the lane organisation (its Fig. 2) as the
 mechanism that scales MOM without register-file complexity.  This sweep
 varies the lanes of the 2-way VMMX128 machine and regenerates the kernel
 speed-ups, showing where the lane count stops paying (the limit is the

@@ -9,12 +9,14 @@ figure of the paper's evaluation.
 
 Quickstart::
 
-    from repro import run_kernel, CONFIGS
+    from repro import get_machine, run_kernel
 
     result = run_kernel("motion1", isa="vmmx128", way=2)
     print(result.cycles, result.trace.summary())
+    print(get_machine("vmmx128", 2).core)
 
-See ``examples/quickstart.py`` and DESIGN.md for the full tour.
+See ``examples/quickstart.py``, README.md and ``docs/architecture.md``
+for the full tour.
 """
 
 from repro.emu import ISA_NAMES, VERSION_NAMES, Memory, make_machine
@@ -29,20 +31,12 @@ __all__ = [
 
 
 def __getattr__(name):
-    # Lazy imports keep `import repro` light while still exposing the
-    # high-level API (kernel runner, machine registry, experiments).
+    # The kernel runner and the machine registry resolve on first use;
+    # the emulation and trace names above are imported eagerly.
     if name == "run_kernel":
         from repro.kernels.runner import run_kernel
 
         return run_kernel
-    if name == "CONFIGS":
-        from repro.machines import ISAS, WAYS, get_machine
-
-        return {
-            (isa, way): get_machine(isa, way).core
-            for isa in ISAS
-            for way in WAYS
-        }
     if name in ("MachineSpec", "SimdGeometry", "get_machine",
                 "register_machine", "registered_machines"):
         import repro.machines as machines

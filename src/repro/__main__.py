@@ -995,8 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--executor", default=None, metavar="NAME",
             help="shard launcher: 'local' (in-process, default), "
                  "'subprocess' (one python -m repro sweep worker per "
-                 "shard), 'ssh' (workers on fleet hosts; needs --hosts) "
-                 "or 'kubernetes' (stub; needs an injected transport)")
+                 "shard) or 'ssh' (workers on fleet hosts; needs --hosts)")
         verb_parser.add_argument(
             "--hosts", default=None, metavar="A,B,C",
             help="comma-separated fleet hosts for remote executors "

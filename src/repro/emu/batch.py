@@ -22,8 +22,7 @@ demand uniformity and raise :class:`BatchDivergence` otherwise, and
 :func:`repro.kernels.base.execute_batch` falls back to the
 record-at-a-time reference for the whole batch.  The reference machines
 therefore remain the differential oracle, reachable unconditionally via
-``REPRO_EMU_REFERENCE=1`` (mirroring ``REPRO_TIMING_REFERENCE`` from the
-timing layer); the differential suite asserts byte-identical
+``REPRO_EMU_REFERENCE=1``; the differential suite asserts byte-identical
 :class:`~repro.isa.trace.ColumnarTrace` digests between the two paths.
 
 NumPy int64 arithmetic wraps with two's-complement semantics, matching

@@ -37,11 +37,7 @@ from repro.sweep.dispatch import (
     run_campaign,
     shard_command,
 )
-from repro.sweep.remote import (
-    KubernetesExecutor,
-    RemoteExecutor,
-    SshExecutor,
-)
+from repro.sweep.remote import RemoteExecutor, SshExecutor
 from repro.sweep.transport import (
     LoopbackTransport,
     SshTransport,
@@ -135,7 +131,6 @@ __all__ = [
     "Executor",
     "GcStats",
     "ImportStats",
-    "KubernetesExecutor",
     "LocalExecutor",
     "LoopbackTransport",
     "MergeStats",

@@ -664,49 +664,36 @@ def _make_subprocess(**options: Any) -> Executor:
     return SubprocessExecutor(**_supervision_kwargs(options))
 
 
-def _make_remote(executor_name: str, **options: Any) -> Executor:
-    from repro.sweep import remote
+def _make_ssh(**options: Any) -> Executor:
+    from repro.sweep.remote import SshExecutor
     from repro.sweep.transport import resolve_transport
 
-    cls = {
-        "ssh": remote.SshExecutor,
-        "kubernetes": remote.KubernetesExecutor,
-    }[executor_name]
     try:
         transport = resolve_transport(
             options.get("transport"), root=options.get("root")
         )
     except ValueError as exc:
         raise CampaignError(str(exc)) from None
-    return cls(
+    return SshExecutor(
         hosts=options.get("hosts") or (),
         transport=transport,
         **_supervision_kwargs(options),
     )
 
 
-def _make_ssh(**options: Any) -> Executor:
-    return _make_remote("ssh", **options)
-
-
-def _make_kubernetes(**options: Any) -> Executor:
-    return _make_remote("kubernetes", **options)
-
-
 #: Executor registry: the manifest's ``executor`` field resolves here.
-#: The remote executors are registered through lazy factories so the
+#: The remote executor is registered through a lazy factory so the
 #: dispatch module (which :mod:`repro.sweep.remote` imports from) never
-#: imports them at module load.
+#: imports it at module load.
 EXECUTORS: Dict[str, Callable[..., Executor]] = {
     "local": _make_local,
     "subprocess": _make_subprocess,
     "ssh": _make_ssh,
-    "kubernetes": _make_kubernetes,
 }
 
 #: Executor names that dispatch shards to fleet hosts (and therefore
 #: require a host list in the manifest).
-REMOTE_EXECUTORS = ("ssh", "kubernetes")
+REMOTE_EXECUTORS = ("ssh",)
 
 
 def make_executor(name: str, **options: Any) -> Executor:

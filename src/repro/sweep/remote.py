@@ -21,9 +21,7 @@ and the forward-ship hands survivors the dead host's trace records, so
 failover costs zero duplicate emulations.
 
 :class:`SshExecutor` is the production face (``--executor ssh --hosts
-a,b,c``); :class:`KubernetesExecutor` is a stub sharing the whole base
--- it runs today if handed a Transport that can reach pods, and raises
-a pointed :class:`CampaignError` otherwise.  Fleet state (which host ran
+a,b,c``).  Fleet state (which host ran
 which shard, who is dead) persists to ``<root>/fleet.json`` so
 ``campaign status`` can show a host column from another process.
 """
@@ -519,24 +517,3 @@ class SshExecutor(RemoteExecutor):
 
     def _default_transport(self) -> Transport:
         return SshTransport()
-
-
-class KubernetesExecutor(RemoteExecutor):
-    """Stub: the k8s fleet executor, sharing every RemoteExecutor mechanism.
-
-    Pod scheduling, kubeconfig handling and ``kubectl exec``/``cp``
-    plumbing are not implemented; what *is* here is everything else --
-    hand it a Transport that reaches pods (``kubectl`` wrappers have
-    exactly the run/spawn/push/pull/mtime shape) and the dispatch,
-    heartbeat, ship-back and rebalance machinery works unchanged.
-    Constructed without one, it refuses loudly instead of half-working.
-    """
-
-    name = "kubernetes"
-
-    def _default_transport(self) -> Transport:
-        raise CampaignError(
-            "the kubernetes executor is a stub: no pod transport is "
-            "implemented yet -- pass a custom Transport (kubectl "
-            "exec/cp have the right shape) or use '--executor ssh'"
-        )

@@ -3,8 +3,14 @@
 Machine descriptions live in the :mod:`repro.machines` registry
 (``get_machine(name, way)`` resolves any registered family and width);
 this package times :class:`~repro.isa.trace.ColumnarTrace` streams on
-them -- one configuration at a time (:class:`CoreModel`) or a whole
-stack per pass (:class:`~repro.timing.batch.BatchCoreModel`).
+them with one constraint-based model.  Every timing goes through
+:func:`simulate_trace_stack`, which runs a whole stack of
+configurations per pass on the compiled kernel
+(:class:`~repro.timing.batch.BatchCoreModel`).  Where no kernel can be
+built, or a trace's SSA ids are too sparse for it, each point falls
+back to the Python :class:`CoreModel`; there is no switch to force
+either path.  ``tests/timing_manifest.json`` pins both paths to the
+same frozen results and is regenerated with ``--regen-goldens``.
 """
 
 from repro.machines import MachineSpec, SimdGeometry, get_machine

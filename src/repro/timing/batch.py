@@ -27,18 +27,17 @@ seed axis on the timing side:
 
 Stacks whose configurations disagree on cache-state geometry are split
 into sub-stacks internally (masked/pivoted updates would change results,
-not just cost, so sharing is only ever exact).  Anything the batch
-cannot time identically to the scalar path -- the compiled kernel being
-unavailable, or an SSA id space too sparse for the flat scoreboard --
-raises :class:`BatchTimingDivergence` and the caller falls back to the
-scalar :class:`~repro.timing.core.CoreModel` per point.  Setting
-``REPRO_TIMING_REFERENCE=1`` keeps forcing every simulation through the
-record-at-a-time reference (the batch refuses to run at all), and
-``REPRO_TIMING_NO_KERNEL=1`` disables just the compiled kernel -- the
-differential-testing escape hatches.  The differential suite
-(``tests/test_batch_timing.py``) pins value-identical
-:class:`~repro.timing.core.SimResult`\\ s against the scalar path across
-random configuration stacks.
+not just cost, so sharing is only ever exact).  The batch falls back
+only on conditions it can observe: when no kernel can be built or
+loaded, or when a trace's SSA id space is too sparse for the flat
+scoreboard, it raises :class:`BatchTimingDivergence` and the caller
+times each point through the Python
+:class:`~repro.timing.core.CoreModel` instead.  There is no switch to
+force either path.  ``tests/test_timing_manifest.py`` pins both paths
+to one set of frozen :class:`~repro.timing.core.SimResult` digests
+(regenerated with ``--regen-goldens``), and
+``tests/test_batch_timing.py`` compares them on random configuration
+stacks and random traces.
 """
 
 from __future__ import annotations
@@ -58,21 +57,16 @@ from repro.isa.trace import as_columns
 from repro.machines.spec import CoreConfig, MemHierConfig
 from repro.timing.caches import BimodalPredictor, MemoryHierarchy
 from repro.timing.core import (
-    REFERENCE_ENV,
     SimResult,
     _INT_CODE,
     _MEM_CODE,
     _SIMD_CODE,
     branch_outcome_mask,
     category_tallies,
+    port_occupancies,
     simd_occupancies,
     vector_access_mask,
 )
-
-#: Disables the compiled constraint-loop kernel (batch timing then
-#: diverges and callers fall back to the scalar model) without touching
-#: the wider ``REPRO_TIMING_REFERENCE`` switch.
-KERNEL_ENV = "REPRO_TIMING_NO_KERNEL"
 
 #: Overrides the directory the compiled kernel is cached in.
 CACHE_ENV = "REPRO_TIMING_KERNEL_CACHE"
@@ -86,21 +80,11 @@ ConfigPair = Tuple[CoreConfig, MemHierConfig]
 class BatchTimingDivergence(Exception):
     """The stack cannot be batch-timed identically to the scalar path.
 
-    Raised when batch timing is disabled (``REPRO_TIMING_REFERENCE=1``
-    forces the record-at-a-time reference; ``REPRO_TIMING_NO_KERNEL=1``
-    disables the compiled kernel), when no C compiler / loadable kernel
-    is available, or when a trace's SSA register-id space is too sparse
-    for the kernel's flat scoreboard.  The caller falls back to timing
-    each point through the scalar :class:`~repro.timing.core.CoreModel`.
+    Raised when no C compiler / loadable kernel is available, or when
+    a trace's SSA register-id space is too sparse for the kernel's flat
+    scoreboard.  The caller falls back to timing each point through the
+    scalar :class:`~repro.timing.core.CoreModel`.
     """
-
-
-def batch_enabled() -> bool:
-    """Whether batched re-timing may be used (no env gate is set)."""
-    return (
-        os.environ.get(REFERENCE_ENV, "") != "1"
-        and os.environ.get(KERNEL_ENV, "") != "1"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +200,10 @@ class BatchCoreModel:
     def run(self, trace, warm: bool = True) -> List[SimResult]:
         """Time ``trace`` on every configuration of the stack.
 
-        Raises :class:`BatchTimingDivergence` when the batch path may
-        not (env gates) or cannot (kernel unavailable, sparse SSA ids)
-        reproduce the scalar results exactly.
+        Raises :class:`BatchTimingDivergence` when the batch path
+        cannot (kernel unavailable, sparse SSA ids) reproduce the scalar
+        results exactly.
         """
-        if os.environ.get(REFERENCE_ENV, "") == "1":
-            raise BatchTimingDivergence(
-                f"{REFERENCE_ENV}=1 forces the record-at-a-time reference"
-            )
-        if os.environ.get(KERNEL_ENV, "") == "1":
-            raise BatchTimingDivergence(f"{KERNEL_ENV}=1 disables the kernel")
         lib = load_kernel()
         if lib is None:
             raise BatchTimingDivergence(f"timing kernel unavailable: {_lib_error}")
@@ -286,54 +264,21 @@ class BatchCoreModel:
 
         use_vec = vector_access_mask(cols, core0.vector_memory)
         use_vec8 = np.ascontiguousarray(use_vec, dtype=np.uint8)
-        is_memfu = cols.fu == _MEM_CODE
 
         hier = MemoryHierarchy(mem0)
         if warm:
             hier.warm(cols)
-        mem_lat_l = [0] * n
-        mem_occ_l = [0] * n
-        hier.resolve_accesses(
-            np.nonzero(is_memfu)[0].tolist(),
-            use_vec.tolist(),
-            cols.addr.tolist(),
-            cols.row_bytes.tolist(),
-            cols.rows.tolist(),
-            cols.stride.tolist(),
-            mem_lat_l,
-            mem_occ_l,
-        )
-        mem_lat = np.asarray(mem_lat_l, dtype=np.int64)
+        mem_lat = np.asarray(hier.resolve_accesses(cols, use_vec), dtype=np.int64)
         hier_stats = hier.stats()
 
         # --- per-point derivations, widened by the point axis ----------
         P = len(specs)
-        rows64 = cols.rows.astype(np.int64)
-        rowb64 = cols.row_bytes.astype(np.int64)
-        stride64 = cols.stride.astype(np.int64)
-        scalar_bytes = np.maximum(rowb64, 1)
-        unit_stride = stride64 == rowb64
-        elements = rows64 * np.maximum(1, -(-rowb64 // 8))
         occ = np.empty((P, n), dtype=np.int64)
         mem_occ = np.empty((P, n), dtype=np.int64)
         params = np.empty((P, 11), dtype=np.int64)
         for p, (core, mem) in enumerate(specs):
             occ[p] = simd_occupancies(cols, core)
-            # Port occupancies, mirroring resolve_accesses cycle for
-            # cycle: scalar/MMX accesses move l1.port_bytes per cycle;
-            # unit-stride vector accesses move l2.port_bytes per cycle;
-            # other strides move strided_rows_per_cycle element rows.
-            occ_scalar = np.maximum(1, -(-scalar_bytes // mem.l1.port_bytes))
-            if use_vec.any():
-                occ_unit = np.maximum(1, -(-(rows64 * rowb64) // mem.l2.port_bytes))
-                occ_str = np.maximum(
-                    1, (elements / mem.strided_rows_per_cycle).astype(np.int64)
-                )
-                mem_occ[p] = np.where(
-                    use_vec, np.where(unit_stride, occ_unit, occ_str), occ_scalar
-                )
-            else:
-                mem_occ[p] = occ_scalar
+            mem_occ[p] = port_occupancies(cols, use_vec, mem)
             params[p] = (
                 core.fetch_width, core.rob_size, core.commit_width,
                 core.branch_penalty, core.int_fus, core.fp_fus,
@@ -386,9 +331,7 @@ class BatchCoreModel:
 
 __all__ = [
     "CACHE_ENV",
-    "KERNEL_ENV",
     "BatchCoreModel",
     "BatchTimingDivergence",
-    "batch_enabled",
     "load_kernel",
 ]

@@ -2,11 +2,12 @@
 
 Latency-oriented functional model: true LRU tag arrays decide hits and
 misses; the out-of-order core model (:mod:`repro.timing.core`) separately
-accounts port occupancy.  Scalar (and MMX SIMD) accesses go through L1
-backed by L2; on the VMMX configurations vector accesses bypass L1 and
-access the two-bank interleaved L2 vector cache directly, which serves
-stride-one requests at full port width and other strides at one element
-row per cycle (§III-D, [22]).
+accounts port occupancy (:func:`~repro.timing.core.port_occupancies`).
+Scalar (and MMX SIMD) accesses go through L1 backed by L2; on the VMMX
+configurations vector accesses bypass L1 and access the two-bank
+interleaved L2 vector cache directly, which serves stride-one requests
+at full port width and other strides at one element row per cycle
+(§III-D, [22]).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.isa.opcodes import FUClass
+from repro.isa.trace import FU_CODE
 from repro.machines.spec import CacheConfig, MemHierConfig
 
 
@@ -79,14 +82,6 @@ class Cache:
             self._touch_line(line_no * line)
 
 
-@dataclass
-class AccessResult:
-    """Latency and transfer occupancy of one memory access."""
-
-    latency: int        # cycles until first data available
-    occupancy: int      # cycles the serving port is busy
-
-
 class MemoryHierarchy:
     """L1 + L2 (+ vector path) with a flat main-memory latency."""
 
@@ -95,102 +90,44 @@ class MemoryHierarchy:
         self.l1 = Cache(config.l1)
         self.l2 = Cache(config.l2)
 
-    def scalar_access(self, addr: int, nbytes: int) -> AccessResult:
-        """A scalar or MMX access through L1 (L1 -> L2 -> memory)."""
-        latency = self.config.l1.latency
-        if self.l1.access(addr, nbytes):
-            if self.l2.access(addr, nbytes):
-                latency += self.config.main_latency
-            else:
-                latency += self.config.l2.latency
-        occupancy = max(1, -(-nbytes // self.config.l1.port_bytes))
-        return AccessResult(latency=latency, occupancy=occupancy)
+    def resolve_accesses(self, cols, use_vec) -> List[int]:
+        """Latency of every memory access of a columnar trace, in trace order.
 
-    def vector_access(
-        self, addr: int, row_bytes: int, rows: int, stride: int
-    ) -> AccessResult:
-        """A VMMX matrix access through the L2 vector cache (bypasses L1).
-
-        Stride-one requests move ``port_bytes`` per cycle; any other
-        stride transfers ``strided_rows_per_cycle`` rows per cycle.  Only
-        the bytes of the actual rows touch the tag array (a strided
-        access does not pull the skipped gaps into the cache).
+        Returns one latency per slot (0 for non-memory instructions) and
+        updates the tag arrays and statistics as the accesses go.
+        Scalar and MMX accesses go through L1 (L1 -> L2 -> memory).
+        Accesses flagged in ``use_vec`` are VMMX matrix accesses through
+        the L2 vector cache, bypassing L1; only the bytes of their
+        actual rows touch the tag array, so a strided access does not
+        pull the skipped gaps into the cache.  Port occupancies are
+        configuration-dependent and live in
+        :func:`repro.timing.core.port_occupancies`.
         """
-        latency = self.config.l2.latency
-        unit_stride = stride == row_bytes
-        if unit_stride:
-            missed = self.l2.access(addr, max(rows, 1) * row_bytes)
-        else:
-            missed = 0
-            for r in range(max(rows, 1)):
-                missed += self.l2.access(addr + r * stride, row_bytes)
-        if missed:
-            latency += self.config.main_latency
-        if unit_stride:
-            total = rows * row_bytes
-            occupancy = max(1, -(-total // self.config.l2.port_bytes))
-        else:
-            # "at 1 element per cycle for any other stride" (§III-D):
-            # elements are 64-bit, so a 128-bit row costs two cycles.
-            elements = rows * max(1, -(-row_bytes // 8))
-            occupancy = max(1, int(elements / self.config.strided_rows_per_cycle))
-        return AccessResult(latency=latency, occupancy=occupancy)
-
-    def resolve_accesses(
-        self,
-        indices,
-        use_vector,
-        addr,
-        row_bytes,
-        rows,
-        stride,
-        lat_out,
-        occ_out,
-    ) -> None:
-        """Resolve every memory access of a columnar trace in trace order.
-
-        Batched equivalent of calling :meth:`scalar_access` /
-        :meth:`vector_access` once per record (the columnar timing
-        core's pre-pass): writes each access's latency and occupancy
-        into ``lat_out[i]`` / ``occ_out[i]``.  Avoids a result-object
-        allocation and two method dispatches per dynamic memory
-        instruction; the differential tests pin it against the
-        per-record methods.
-        """
+        addr = cols.addr.tolist()
+        row_bytes = cols.row_bytes.tolist()
+        rows = cols.rows.tolist()
+        stride = cols.stride.tolist()
+        use_vector = use_vec.tolist()
+        lat_out = [0] * len(cols)
         l1 = self.l1
         l2 = self.l2
         l1_lat = self.config.l1.latency
         l2_lat = self.config.l2.latency
         main_lat = self.config.main_latency
-        l1_pb = self.config.l1.port_bytes
-        l2_pb = self.config.l2.port_bytes
-        strided_rpc = self.config.strided_rows_per_cycle
-        for i in indices:
+        for i in np.nonzero(cols.fu == FU_CODE[FUClass.MEM])[0].tolist():
+            base = addr[i]
+            nbytes = row_bytes[i]
             if use_vector[i]:
-                nbytes = row_bytes[i]
-                n_rows = rows[i]
+                n_rows = max(rows[i], 1)
                 step = stride[i]
-                base = addr[i]
-                latency = l2_lat
                 if step == nbytes:
-                    missed = l2.access(base, max(n_rows, 1) * nbytes)
+                    missed = l2.access(base, n_rows * nbytes)
                 else:
                     missed = 0
-                    for r in range(max(n_rows, 1)):
+                    for r in range(n_rows):
                         missed += l2.access(base + r * step, nbytes)
-                if missed:
-                    latency += main_lat
-                if step == nbytes:
-                    total = n_rows * nbytes
-                    occupancy = -(-total // l2_pb)
-                else:
-                    elements = n_rows * max(1, -(-nbytes // 8))
-                    occupancy = int(elements / strided_rpc)
-                lat_out[i] = latency
-                occ_out[i] = occupancy if occupancy > 1 else 1
+                lat_out[i] = l2_lat + main_lat if missed else l2_lat
             else:
-                base = addr[i]
-                nbytes = row_bytes[i]
                 if nbytes < 1:
                     nbytes = 1
                 latency = l1_lat
@@ -199,9 +136,8 @@ class MemoryHierarchy:
                         latency += main_lat
                     else:
                         latency += l2_lat
-                occupancy = -(-nbytes // l1_pb)
                 lat_out[i] = latency
-                occ_out[i] = occupancy if occupancy > 1 else 1
+        return lat_out
 
     def warm(self, trace) -> None:
         """Pre-touch the tag arrays with a trace's memory footprint.

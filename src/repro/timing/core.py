@@ -27,10 +27,10 @@ precomputed arrays.  The two passes are legal because cache and
 predictor state evolve in *trace order*, independent of the issue
 cycles the loop assigns.
 
-The original record-at-a-time implementation is retained as
-:meth:`CoreModel.run_reference` -- it is the executable specification
-the columnar path is differentially tested against, and setting
-``REPRO_TIMING_REFERENCE=1`` forces every simulation through it.
+Every timing normally runs that loop in the compiled kernel of
+:mod:`repro.timing.batch`; :class:`CoreModel` is its Python fallback,
+one configuration at a time.  ``tests/timing_manifest.json`` pins both
+paths to the same frozen :class:`SimResult` digests.
 
 Each committed instruction attributes the cycles since the previous
 commit to its category, which yields the scalar/vector cycle breakdown of
@@ -39,8 +39,6 @@ the paper's Fig. 6 directly.
 
 from __future__ import annotations
 
-import os
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -50,10 +48,6 @@ from repro.isa.opcodes import Category, FUClass
 from repro.isa.trace import CAT_CODE, CATEGORIES, FU_CODE, as_columns
 from repro.machines.spec import CoreConfig, MemHierConfig
 from repro.timing.caches import BimodalPredictor, MemoryHierarchy
-
-#: Environment variable gating the retained record-at-a-time reference
-#: implementation (``1`` routes every ``run`` call through it).
-REFERENCE_ENV = "REPRO_TIMING_REFERENCE"
 
 _MEM_CODE = FU_CODE[FUClass.MEM]
 _SIMD_CODE = FU_CODE[FUClass.SIMD]
@@ -80,6 +74,30 @@ def simd_occupancies(cols, config: CoreConfig) -> np.ndarray:
     rows64 = cols.rows.astype(np.int64)
     occ = np.maximum(1, -(-rows64 // config.lanes))
     return occ + np.where(rows64 > 1, config.vector_startup, 0)
+
+
+def port_occupancies(cols, use_vec: np.ndarray, mem: MemHierConfig) -> np.ndarray:
+    """Per-instruction memory-port occupancy in cycles, vectorised.
+
+    Scalar and MMX accesses move ``l1.port_bytes`` per cycle through an
+    L1 port.  Vector-cache accesses (``use_vec``) move ``l2.port_bytes``
+    per cycle at unit stride; any other stride moves
+    ``strided_rows_per_cycle`` 64-bit elements per cycle ("at 1 element
+    per cycle for any other stride", §III-D), so a 128-bit row costs
+    two.  Only the slots of memory instructions are meaningful.
+    """
+    row_bytes = cols.row_bytes.astype(np.int64)
+    occ = np.maximum(1, -(-np.maximum(row_bytes, 1) // mem.l1.port_bytes))
+    if not use_vec.any():
+        return occ
+    rows = cols.rows.astype(np.int64)
+    unit = np.maximum(1, -(-(rows * row_bytes) // mem.l2.port_bytes))
+    elements = rows * np.maximum(1, -(-row_bytes // 8))
+    strided = np.maximum(
+        1, (elements / mem.strided_rows_per_cycle).astype(np.int64)
+    )
+    unit_stride = cols.stride.astype(np.int64) == row_bytes
+    return np.where(use_vec, np.where(unit_stride, unit, strided), occ)
 
 
 def vector_access_mask(cols, vector_memory: bool) -> np.ndarray:
@@ -109,9 +127,8 @@ def branch_outcome_mask(cols, bpred: BimodalPredictor) -> bytearray:
 def category_tallies(cat: np.ndarray, commits: np.ndarray):
     """Fig. 6/7 per-category instruction and cycle tallies, vectorised.
 
-    Keys appear in first-occurrence order, exactly as the reference
-    implementation's dicts populate -- the golden JSON artefacts compare
-    byte-for-byte, so ordering is part of the contract.
+    Keys appear in first-occurrence order -- the golden JSON artefacts
+    compare byte-for-byte, so ordering is part of the contract.
     """
     diffs = np.diff(commits, prepend=0)
     n_cats = len(CATEGORIES)
@@ -188,15 +205,7 @@ class CoreModel:
 
     def run(self, trace) -> SimResult:
         """Time one dynamic trace (columnar IR or any record iterable)."""
-        if os.environ.get(REFERENCE_ENV) == "1":
-            return self.run_reference(trace)
-        return self._run_columnar(as_columns(trace))
-
-    # ------------------------------------------------------------------
-    # Columnar implementation: vectorised pre-pass + constraint loop.
-    # ------------------------------------------------------------------
-
-    def _run_columnar(self, cols) -> SimResult:
+        cols = as_columns(trace)
         cfg = self.config
         n_total = len(cols)
         fu = cols.fu
@@ -206,26 +215,11 @@ class CoreModel:
 
         # Memory accesses: cache tag state evolves in trace order and is
         # independent of issue timing, so resolve every access up front.
-        is_memfu = fu == _MEM_CODE
         use_vec = vector_access_mask(cols, self.vector_memory)
-        addr_l = cols.addr.tolist()
-        rowb_l = cols.row_bytes.tolist()
-        rows_l = cols.rows.tolist()
-        stride_l = cols.stride.tolist()
         use_vec_l = use_vec.tolist()
-        mem_lat_l = [0] * n_total
-        mem_occ_l = [0] * n_total
         hier = self.hier
-        hier.resolve_accesses(
-            np.nonzero(is_memfu)[0].tolist(),
-            use_vec_l,
-            addr_l,
-            rowb_l,
-            rows_l,
-            stride_l,
-            mem_lat_l,
-            mem_occ_l,
-        )
+        mem_lat_l = hier.resolve_accesses(cols, use_vec)
+        mem_occ_l = port_occupancies(cols, use_vec, self.mem_config).tolist()
 
         # Branch outcomes: the bimodal predictor is a pure function of
         # the (site, taken) sequence, also trace-ordered.
@@ -454,172 +448,6 @@ class CoreModel:
             cat_cycles=cat_cycles,
             branch_lookups=bpred.lookups,
             branch_mispredicts=bpred.mispredicts,
-            l1_accesses=hier_stats["l1"].accesses,
-            l1_misses=hier_stats["l1"].misses,
-            l2_accesses=hier_stats["l2"].accesses,
-            l2_misses=hier_stats["l2"].misses,
-        )
-
-    # ------------------------------------------------------------------
-    # Reference implementation: record at a time, the executable spec.
-    # ------------------------------------------------------------------
-
-    def run_reference(self, records) -> SimResult:
-        """Record-at-a-time timing (the pre-columnar implementation).
-
-        Kept as the differential-testing oracle: it must produce the
-        same :class:`SimResult`, cycle for cycle, as the columnar path.
-        """
-        cfg = self.config
-        reg_ready: Dict[int, int] = {}
-        issue_total: Dict[int, int] = defaultdict(int)
-        class_count: Dict[int, int] = defaultdict(int)  # keyed (cycle, class) packed
-        simd_units = [0] * cfg.simd_fu_groups
-        l1_ports = [0] * cfg.mem_ports
-        l2_ports = [0] * self.mem_config.l2.ports
-        rob_size = cfg.rob_size
-        commit_ring = [0] * rob_size
-        simd_ring = [0] * cfg.simd_inflight
-        simd_writes = 0
-        fetch_cycle = 1
-        fetched = 0
-        fetch_barrier = 0
-        last_commit = 0
-        n = 0
-        cat_instrs: Dict[str, int] = defaultdict(int)
-        cat_cycles: Dict[str, int] = defaultdict(int)
-        vector_mem = self.vector_memory
-
-        for rec in records:
-            # ----- fetch / dispatch --------------------------------------
-            if fetch_cycle < fetch_barrier:
-                fetch_cycle = fetch_barrier
-                fetched = 0
-            if fetched >= cfg.fetch_width:
-                fetch_cycle += 1
-                fetched = 0
-                if fetch_cycle < fetch_barrier:
-                    fetch_cycle = fetch_barrier
-            # ROB occupancy: instruction i needs instr (i - rob_size) gone.
-            rob_free = commit_ring[n % rob_size] + 1 if n >= rob_size else 0
-            if rob_free > fetch_cycle:
-                fetch_cycle = rob_free
-                fetched = 0
-            # SIMD physical registers: writers in flight are bounded.
-            if rec.fu is FUClass.SIMD and rec.dsts:
-                if simd_writes >= cfg.simd_inflight:
-                    free_at = simd_ring[simd_writes % cfg.simd_inflight] + 1
-                    if free_at > fetch_cycle:
-                        fetch_cycle = free_at
-                        fetched = 0
-            dispatch = fetch_cycle
-            fetched += 1
-
-            # ----- operand ready ------------------------------------------
-            ready = dispatch
-            for src in rec.srcs:
-                when = reg_ready.get(src)
-                if when is not None and when > ready:
-                    ready = when
-
-            # ----- issue: total width, class slots, unit occupancy --------
-            fu = rec.fu
-            t = ready
-            if fu is FUClass.MEM:
-                if vector_mem and rec.category is Category.VMEM:
-                    access = self.hier.vector_access(
-                        rec.addr, rec.row_bytes, rec.rows, rec.stride
-                    )
-                    ports = l2_ports
-                else:
-                    access = self.hier.scalar_access(rec.addr, max(rec.row_bytes, 1))
-                    ports = l1_ports
-                while True:
-                    if issue_total[t] >= cfg.fetch_width:
-                        t += 1
-                        continue
-                    port = min(range(len(ports)), key=ports.__getitem__)
-                    if ports[port] > t:
-                        t = ports[port]
-                        continue
-                    break
-                ports[port] = t + access.occupancy
-                complete = t + access.latency + access.occupancy - 1
-            elif fu is FUClass.SIMD:
-                occupancy = max(1, -(-rec.rows // cfg.lanes))
-                if rec.rows > 1:
-                    occupancy += cfg.vector_startup
-                while True:
-                    if issue_total[t] >= cfg.fetch_width:
-                        t += 1
-                        continue
-                    key = t * 4 + 2
-                    if class_count[key] >= cfg.simd_issue:
-                        t += 1
-                        continue
-                    unit = min(range(len(simd_units)), key=simd_units.__getitem__)
-                    if simd_units[unit] > t:
-                        t = simd_units[unit]
-                        continue
-                    break
-                class_count[t * 4 + 2] += 1
-                simd_units[unit] = t + occupancy
-                complete = t + rec.latency + occupancy - 1
-            else:
-                cap = cfg.int_fus if fu is FUClass.INT else cfg.fp_fus
-                ckey = 0 if fu is FUClass.INT else 1
-                while True:
-                    if issue_total[t] >= cfg.fetch_width:
-                        t += 1
-                        continue
-                    if class_count[t * 4 + ckey] >= cap:
-                        t += 1
-                        continue
-                    break
-                class_count[t * 4 + ckey] += 1
-                complete = t + rec.latency
-            issue_total[t] += 1
-
-            # ----- branches -----------------------------------------------
-            if rec.is_branch:
-                correct = self.bpred.predict_and_update(rec.pc, rec.taken)
-                if not correct:
-                    resolve = complete
-                    barrier = resolve + cfg.branch_penalty
-                    if barrier > fetch_barrier:
-                        fetch_barrier = barrier
-
-            # ----- writeback ----------------------------------------------
-            for dst in rec.dsts:
-                reg_ready[dst] = complete
-
-            # ----- in-order commit ----------------------------------------
-            commit = complete
-            if commit < last_commit:
-                commit = last_commit
-            if n >= cfg.commit_width:
-                floor = commit_ring[(n - cfg.commit_width) % rob_size] + 1
-                if commit < floor:
-                    commit = floor
-            commit_ring[n % rob_size] = commit
-            if rec.fu is FUClass.SIMD and rec.dsts:
-                simd_ring[simd_writes % cfg.simd_inflight] = commit
-                simd_writes += 1
-            cat = rec.category.value
-            cat_instrs[cat] += 1
-            cat_cycles[cat] += commit - last_commit
-            last_commit = commit
-            n += 1
-
-        hier_stats = self.hier.stats()
-        return SimResult(
-            config_name=cfg.name,
-            cycles=last_commit,
-            instructions=n,
-            cat_instructions=dict(cat_instrs),
-            cat_cycles=dict(cat_cycles),
-            branch_lookups=self.bpred.lookups,
-            branch_mispredicts=self.bpred.mispredicts,
             l1_accesses=hier_stats["l1"].accesses,
             l1_misses=hier_stats["l1"].misses,
             l2_accesses=hier_stats["l2"].accesses,

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.isa.trace import ColumnarTrace, Trace
 from repro.machines.spec import CoreConfig, MemHierConfig
-from repro.timing.batch import BatchCoreModel, ConfigPair, batch_enabled
+from repro.timing.batch import BatchCoreModel, BatchTimingDivergence, ConfigPair
 from repro.timing.core import CoreModel, SimResult
 
 
@@ -51,22 +51,18 @@ def simulate_trace_stack(
     The batched counterpart of calling :func:`simulate_trace` once per
     ``(config, mem_config)`` pair, and value-identical to doing so: every
     stack, a one-point stack included, runs through
-    :class:`~repro.timing.batch.BatchCoreModel` in one pass where
-    permitted, and any :class:`~repro.timing.batch.BatchTimingDivergence`
-    (env gates, no usable compiled kernel) falls back to the scalar
-    model per point.
+    :class:`~repro.timing.batch.BatchCoreModel` in one pass, and a
+    :class:`~repro.timing.batch.BatchTimingDivergence` (no usable
+    compiled kernel, sparse SSA ids) falls back to the scalar model per
+    point.
     """
-    if batch_enabled():
-        from repro.timing.batch import BatchTimingDivergence
-
-        try:
-            return BatchCoreModel(specs).run(trace, warm=warm)
-        except BatchTimingDivergence:
-            pass
-    return [
-        simulate_trace(trace, config, mem_config, warm=warm)
-        for config, mem_config in specs
-    ]
+    try:
+        return BatchCoreModel(specs).run(trace, warm=warm)
+    except BatchTimingDivergence:
+        return [
+            simulate_trace(trace, config, mem_config, warm=warm)
+            for config, mem_config in specs
+        ]
 
 
 @dataclass

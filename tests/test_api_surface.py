@@ -53,9 +53,6 @@ class TestTopLevelPackage:
         result = repro.run_kernel  # resolves via __getattr__
         assert callable(result)
 
-    def test_lazy_configs(self):
-        assert len(repro.CONFIGS) == 12
-
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError):
             repro.not_a_thing

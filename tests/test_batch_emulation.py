@@ -221,6 +221,31 @@ class TestFloorSemantics:
         out = capsys.readouterr().out
         assert "REGRESSION" in out
 
+    def test_missing_measurement_fails(self, bench, tmp_path, capsys):
+        """A bound this script owns with no measurement fails the gate
+        (the fig. 4 ceiling was once skipped silently at the CI budget);
+        bounds owned by other scripts are left to them."""
+        floors = tmp_path / "floor.json"
+        floors.write_text(
+            '{"retimed_instructions_per_sec": 100, '
+            '"fig4_warm_sweep_seconds_max": 0.9, '
+            '"serve_warm_hit_p50_seconds_max": 0.01}'
+        )
+        measured = {
+            "retimed_instructions_per_sec": 100,
+            "fig4_sweep": {"warm_trace_seconds": 0.5},
+        }
+        assert bench.check_floor(measured, floors)
+        capsys.readouterr()
+        no_sweep = dict(measured)
+        del no_sweep["fig4_sweep"]
+        assert not bench.check_floor(no_sweep, floors)
+        assert "fig4_warm_sweep_seconds_max: no measurement" in capsys.readouterr().out
+        no_rate = dict(measured)
+        del no_rate["retimed_instructions_per_sec"]
+        assert not bench.check_floor(no_rate, floors)
+        assert "MISSING" in capsys.readouterr().out
+
     def test_no_hidden_margin_constant(self, bench):
         assert not hasattr(bench, "REGRESSION_FACTOR")
 

@@ -1,22 +1,18 @@
-"""Differential suite for the batch-vectorised timing engine.
+"""Differential suite: the compiled timing kernel vs the Python fallback.
 
 :class:`repro.timing.batch.BatchCoreModel` times one columnar trace
 against a stack of configurations in a single pass (shared pre-passes +
 a compiled constraint-loop kernel); the scalar
-:class:`~repro.timing.core.CoreModel` stays as the authoritative
-per-point model, and ``REPRO_TIMING_REFERENCE=1`` still forces the
-record-at-a-time reference underneath everything.  The core guarantee
-pinned here mirrors the emulation-side suite
-(``tests/test_batch_emulation.py``): the batch path produces
-value-identical :class:`~repro.timing.core.SimResult`\\ s for every
-point of every stack -- including the golden-contract first-occurrence
-ordering of the per-category tallies -- and every divergence path falls
-back to the scalar model rather than approximating.
+:class:`~repro.timing.core.CoreModel` is the per-point Python fallback
+a host without a C compiler takes.  The guarantee pinned here: both
+produce value-identical :class:`~repro.timing.core.SimResult`\\ s for
+every point of every stack -- including the golden-contract
+first-occurrence ordering of the per-category tallies -- on real kernel
+traces, random configuration stacks and random record traces, and every
+divergence path falls back to the scalar model rather than
+approximating.  ``tests/test_timing_manifest.py`` pins both paths to
+frozen digests.
 """
-
-import dataclasses
-import os
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,14 +25,16 @@ from repro.kernels.base import execute
 from repro.kernels.registry import KERNELS
 from repro.machines import ISAS, WAYS, get_machine
 from repro.timing import simulate_trace, simulate_trace_stack
-from repro.timing.batch import (
-    KERNEL_ENV,
-    BatchCoreModel,
-    BatchTimingDivergence,
-    batch_enabled,
-    load_kernel,
+from repro.timing.batch import BatchCoreModel, BatchTimingDivergence, load_kernel
+from timing_cases import (
+    CORE_ABLATIONS,
+    MEM_ABLATIONS,
+    RANDOM_MACHINES,
+    ablated_pair,
+    paper_stack,
+    random_trace,
+    spill_chain_trace,
 )
-from repro.timing.core import REFERENCE_ENV
 
 _TRACES = {}
 
@@ -46,15 +44,6 @@ def trace_of(kernel, version, seed=0):
     if key not in _TRACES:
         _TRACES[key] = execute(KERNELS[kernel], version, seed).trace.columns()
     return _TRACES[key]
-
-
-def paper_stack():
-    """All twelve paper configurations, each with its own hierarchy."""
-    return [
-        (get_machine(isa, way).core, get_machine(isa, way).mem)
-        for isa in ISAS
-        for way in WAYS
-    ]
 
 
 def assert_results_identical(got, want):
@@ -71,25 +60,8 @@ def scalar_results(cols, specs, warm=True):
     return [simulate_trace(cols, c, m, warm=warm) for c, m in specs]
 
 
-def run_batch(specs, cols, warm=True):
-    """Run the batch model with the env gates cleared.
-
-    The differential tests must exercise the *batch* path even when the
-    whole suite is re-run under ``REPRO_TIMING_REFERENCE=1`` (the CI
-    reference-mode job); the scalar side is left under the ambient
-    environment -- the reference and columnar models are value-identical,
-    so the equality assertions hold in both modes.  A context manager
-    rather than a monkeypatch fixture so the Hypothesis test stays free
-    of function-scoped fixtures.
-    """
-    with mock.patch.dict(os.environ):
-        os.environ.pop(REFERENCE_ENV, None)
-        os.environ.pop(KERNEL_ENV, None)
-        return BatchCoreModel(specs).run(cols, warm=warm)
-
-
 def spy_batch_runs(monkeypatch):
-    """Clear the env gates and record the stack size of every batch run."""
+    """Record the stack size of every batch run."""
     calls = []
     real = BatchCoreModel.run
 
@@ -98,8 +70,6 @@ def spy_batch_runs(monkeypatch):
         return real(self, trace, warm=warm)
 
     monkeypatch.setattr(BatchCoreModel, "run", spy)
-    monkeypatch.delenv(REFERENCE_ENV, raising=False)
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
     return calls
 
 
@@ -114,7 +84,7 @@ class TestDifferential:
         """Each kernel's mmx64 trace, timed across all 12 paper configs."""
         cols = trace_of(kernel, "mmx64")
         specs = paper_stack()
-        batch = run_batch(specs, cols)
+        batch = BatchCoreModel(specs).run(cols)
         assert_results_identical(batch, scalar_results(cols, specs))
 
     def test_vector_trace_matches_scalar(self):
@@ -122,13 +92,13 @@ class TestDifferential:
         occupancy formulas on both matrix and non-matrix stacks."""
         cols = trace_of("ycc", "vmmx128")
         specs = paper_stack()
-        batch = run_batch(specs, cols)
+        batch = BatchCoreModel(specs).run(cols)
         assert_results_identical(batch, scalar_results(cols, specs))
 
     def test_cold_caches_match_scalar(self):
         cols = trace_of("addblock", "vmmx64")
         specs = paper_stack()
-        batch = run_batch(specs, cols, warm=False)
+        batch = BatchCoreModel(specs).run(cols, warm=False)
         assert_results_identical(batch, scalar_results(cols, specs, warm=False))
 
     @settings(max_examples=15, deadline=None)
@@ -139,17 +109,8 @@ class TestDifferential:
             st.tuples(
                 st.sampled_from(ISAS),
                 st.sampled_from(WAYS),
-                st.sampled_from(
-                    [
-                        None,
-                        {"rob_size": 12},
-                        {"fetch_width": 1},
-                        {"simd_issue": 1},
-                        {"branch_penalty": 2},
-                        {"mem_ports": 1},
-                    ]
-                ),
-                st.sampled_from([None, "l1_latency", "l2_ports", "main", "strided"]),
+                st.sampled_from(CORE_ABLATIONS),
+                st.sampled_from(MEM_ABLATIONS),
             ),
             min_size=2,
             max_size=6,
@@ -158,27 +119,9 @@ class TestDifferential:
     def test_random_ablation_stacks_match_scalar(self, kernel, version, picks):
         """Random machine/way/ablation stacks -- including stacks mixing
         cache geometries, which must split into exact sub-stacks."""
-        specs = []
-        for isa, way, core_abl, mem_abl in picks:
-            spec = get_machine(isa, way)
-            core, mem = spec.core, spec.mem
-            if core_abl:
-                core = dataclasses.replace(core, **core_abl)
-            if mem_abl == "l1_latency":
-                mem = dataclasses.replace(
-                    mem, l1=dataclasses.replace(mem.l1, latency=1)
-                )
-            elif mem_abl == "l2_ports":
-                mem = dataclasses.replace(
-                    mem, l2=dataclasses.replace(mem.l2, ports=1, port_bytes=8)
-                )
-            elif mem_abl == "main":
-                mem = dataclasses.replace(mem, main_latency=120)
-            elif mem_abl == "strided":
-                mem = dataclasses.replace(mem, strided_rows_per_cycle=2.0)
-            specs.append((core, mem))
+        specs = [ablated_pair(*pick) for pick in picks]
         cols = trace_of(kernel, version)
-        batch = run_batch(specs, cols)
+        batch = BatchCoreModel(specs).run(cols)
         assert_results_identical(batch, scalar_results(cols, specs))
 
     def test_stack_driver_uses_batch_once(self, monkeypatch):
@@ -187,7 +130,6 @@ class TestDifferential:
         calls = spy_batch_runs(monkeypatch)
         cols = trace_of("addblock", "mmx64")
         specs = paper_stack()
-        assert batch_enabled()
         got = simulate_trace_stack(cols, specs)
         assert calls == [len(specs)]
         assert_results_identical(got, scalar_results(cols, specs))
@@ -214,7 +156,36 @@ class TestDifferential:
             (get_machine("mmx64", way).core, get_machine("mmx64", way).mem)
             for way in (2, 4)[:points]
         ]
-        assert_results_identical(run_batch(specs, cols), scalar_results(cols, specs))
+        assert_results_identical(
+            BatchCoreModel(specs).run(cols), scalar_results(cols, specs)
+        )
+
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_random_record_traces_match_scalar(self, rng):
+        """Adversarial random traces mixing every instruction kind (ALU,
+        SIMD with matrix rows, scalar and strided vector memory,
+        branches) on 1-D and 2-D machines of several widths."""
+        trace = random_trace(rng)
+        specs = [
+            (get_machine(name, way).core, get_machine(name, way).mem)
+            for name, way in RANDOM_MACHINES
+        ]
+        assert_results_identical(
+            BatchCoreModel(specs).run(trace), scalar_results(trace, specs)
+        )
+
+
+class TestCounterSpill:
+    def test_high_latency_chain_exceeding_dense_window(self):
+        """Dependent cold misses push issue cycles far past the dense
+        per-cycle counter window; both the Python spill dictionaries and
+        the kernel's widened window must stay cycle-exact."""
+        trace = spill_chain_trace()
+        specs = [(get_machine("mmx64", 2).core, get_machine("mmx64", 2).mem)]
+        (got,) = BatchCoreModel(specs).run(trace, warm=False)
+        assert_results_identical([got], scalar_results(trace, specs, warm=False))
+        assert got.cycles > 40 * 400  # the chain really serialised
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +194,6 @@ class TestDifferential:
 
 
 class TestDivergenceFallback:
-    def test_no_kernel_env_raises_and_driver_falls_back(self, monkeypatch):
-        cols = trace_of("comp", "mmx64")
-        specs = paper_stack()[:3]
-        want = scalar_results(cols, specs)
-
-        monkeypatch.setenv(KERNEL_ENV, "1")
-        assert not batch_enabled()
-        with pytest.raises(BatchTimingDivergence):
-            BatchCoreModel(specs).run(cols)
-        assert_results_identical(simulate_trace_stack(cols, specs), want)
-
     def test_unloadable_kernel_falls_back(self, monkeypatch):
         """A host without a usable C compiler still times correctly."""
         import repro.timing.batch as batch
@@ -266,24 +226,6 @@ class TestDivergenceFallback:
         assert_results_identical(
             simulate_trace_stack(cols, specs), scalar_results(cols, specs)
         )
-
-
-class TestReferenceGate:
-    def test_reference_env_refuses_batch_and_matches(self, monkeypatch):
-        """REPRO_TIMING_REFERENCE=1 forces every simulation through the
-        record-at-a-time reference; the batch refuses outright and the
-        stack driver's fallback results equal the default path (the
-        reference and columnar models are value-identical)."""
-        cols = trace_of("addblock", "mmx64")
-        specs = paper_stack()[:4]
-        default = simulate_trace_stack(cols, specs)
-
-        monkeypatch.setenv(REFERENCE_ENV, "1")
-        assert not batch_enabled()
-        with pytest.raises(BatchTimingDivergence):
-            BatchCoreModel(specs).run(cols)
-        gated = simulate_trace_stack(cols, specs)
-        assert_results_identical(gated, default)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Tests for the cache hierarchy and branch predictor models."""
 
-import pytest
+import numpy as np
 
 from repro.isa.opcodes import Category, FUClass
 from repro.isa.trace import Trace, TraceRecord
 from repro.timing.caches import BimodalPredictor, Cache, MemoryHierarchy
+from repro.timing.core import port_occupancies
 from repro.machines import get_machine
 from repro.machines.spec import CacheConfig
 
@@ -58,57 +59,79 @@ class TestCache:
         assert c.stats.miss_rate == 0.5
 
 
+def access(h, addr, row_bytes, rows=1, stride=0, vector=False):
+    """(latency, port occupancy) of one access, as a one-access trace.
+
+    ``vector`` routes it through the L2 vector cache (a VMMX matrix
+    access); otherwise it is a scalar/MMX access through L1.
+    """
+    t = Trace()
+    t.append(
+        TraceRecord(
+            name="vld" if vector else "ld",
+            category=Category.VMEM if vector else Category.SMEM,
+            fu=FUClass.MEM, latency=0, addr=addr, row_bytes=row_bytes,
+            rows=rows, stride=stride,
+        )
+    )
+    cols = t.columns()
+    use_vec = np.array([vector])
+    (latency,) = h.resolve_accesses(cols, use_vec)
+    (occupancy,) = port_occupancies(cols, use_vec, h.config).tolist()
+    return latency, occupancy
+
+
 class TestMemoryHierarchy:
     def test_l1_hit_latency(self):
         h = MemoryHierarchy(get_machine("mmx64", 2).mem)
-        h.scalar_access(64, 4)
-        result = h.scalar_access(64, 4)
-        assert result.latency == h.config.l1.latency
+        access(h, 64, 4)
+        latency, _ = access(h, 64, 4)
+        assert latency == h.config.l1.latency
 
     def test_l1_miss_goes_to_memory_first_touch(self):
         h = MemoryHierarchy(get_machine("mmx64", 2).mem)
-        result = h.scalar_access(64, 4)
-        assert result.latency >= h.config.main_latency
+        latency, _ = access(h, 64, 4)
+        assert latency >= h.config.main_latency
 
     def test_wide_access_occupies_more_port_cycles(self):
         h = MemoryHierarchy(get_machine("mmx64", 2).mem)
-        narrow = h.scalar_access(64, 8)
-        wide = h.scalar_access(64, 16)
-        assert wide.occupancy == 2 * narrow.occupancy
+        _, narrow = access(h, 64, 8)
+        _, wide = access(h, 64, 16)
+        assert wide == 2 * narrow
 
     def test_vector_unit_stride_uses_port_width(self):
         h = MemoryHierarchy(get_machine("mmx64", 2).mem)  # 16-byte L2 port
-        h.vector_access(0, 8, 16, 8)
-        result = h.vector_access(0, 8, 16, 8)
-        assert result.occupancy == 16 * 8 // 16
+        access(h, 0, 8, 16, 8, vector=True)
+        _, occupancy = access(h, 0, 8, 16, 8, vector=True)
+        assert occupancy == 16 * 8 // 16
 
     def test_vector_strided_one_element_per_cycle(self):
         h = MemoryHierarchy(get_machine("mmx64", 2).mem)
-        h.vector_access(0, 8, 16, 800)
-        result = h.vector_access(0, 8, 16, 800)
-        assert result.occupancy == 16
+        access(h, 0, 8, 16, 800, vector=True)
+        _, occupancy = access(h, 0, 8, 16, 800, vector=True)
+        assert occupancy == 16
 
     def test_vector_strided_wide_rows_cost_two_elements(self):
         h = MemoryHierarchy(get_machine("mmx64", 2).mem)
-        h.vector_access(0, 16, 16, 800)
-        result = h.vector_access(0, 16, 16, 800)
-        assert result.occupancy == 32
+        access(h, 0, 16, 16, 800, vector=True)
+        _, occupancy = access(h, 0, 16, 16, 800, vector=True)
+        assert occupancy == 32
 
     def test_strided_bandwidth_scales_with_way(self):
         h2 = MemoryHierarchy(get_machine("mmx64", 2).mem)
         h8 = MemoryHierarchy(get_machine("mmx64", 8).mem)
-        h2.vector_access(0, 8, 16, 800)
-        h8.vector_access(0, 8, 16, 800)
-        slow = h2.vector_access(0, 8, 16, 800).occupancy
-        fast = h8.vector_access(0, 8, 16, 800).occupancy
+        access(h2, 0, 8, 16, 800, vector=True)
+        access(h8, 0, 8, 16, 800, vector=True)
+        _, slow = access(h2, 0, 8, 16, 800, vector=True)
+        _, fast = access(h8, 0, 8, 16, 800, vector=True)
         assert fast < slow
 
     def test_strided_access_does_not_pollute_gaps(self):
         h = MemoryHierarchy(get_machine("mmx64", 2).mem)
-        h.vector_access(0, 8, 4, 1024)  # rows at 0, 1024, 2048, 3072
+        access(h, 0, 8, 4, 1024, vector=True)  # rows at 0, 1024, 2048, 3072
         misses_before = h.l2.stats.misses
-        h.scalar_access(512, 4)          # the gap must still miss in L2
-        h.scalar_access(512, 4)
+        access(h, 512, 4)                      # the gap must still miss in L2
+        access(h, 512, 4)
         assert h.l2.stats.misses > misses_before
 
     def test_warm_resets_stats(self):
@@ -122,8 +145,8 @@ class TestMemoryHierarchy:
         )
         h.warm(t)
         assert h.l1.stats.accesses == 0
-        result = h.scalar_access(64, 8)
-        assert result.latency == h.config.l1.latency  # warmed: L1 hit
+        latency, _ = access(h, 64, 8)
+        assert latency == h.config.l1.latency  # warmed: L1 hit
 
 
 class TestBimodalPredictor:

@@ -74,7 +74,7 @@ class TestScalingCurve:
 
 
 class TestPaperConstants:
-    """ISAS/WAYS are registry-derived and back the top-level CONFIGS."""
+    """ISAS/WAYS are registry-derived."""
 
     def test_paper_axes(self):
         assert ISAS == ("mmx64", "mmx128", "vmmx64", "vmmx128")
@@ -84,14 +84,6 @@ class TestPaperConstants:
         assert [(s.name, s.way) for s in paper_machines()] == [
             (isa, way) for isa in ISAS for way in WAYS
         ]
-
-    def test_top_level_configs_backed_by_registry(self):
-        import repro
-
-        configs = repro.CONFIGS
-        assert len(configs) == 12
-        for (isa, way), config in configs.items():
-            assert config is get_machine(isa, way).core
 
     def test_unknown_machine_error(self):
         with pytest.raises(KeyError, match="no registered machine"):

@@ -23,7 +23,6 @@ from repro.__main__ import main
 from repro.sweep import (
     CampaignError,
     CampaignManifest,
-    KubernetesExecutor,
     LoopbackTransport,
     ResultStore,
     SshExecutor,
@@ -464,26 +463,6 @@ class TestFleetFailover:
             SshExecutor(hosts=())
         with pytest.raises(CampaignError, match="repeats"):
             SshExecutor(hosts=("a", "a"))
-
-
-class TestKubernetesStub:
-    def test_without_transport_refuses_loudly(self):
-        with pytest.raises(CampaignError, match="stub"):
-            KubernetesExecutor(hosts=("pod-a",))
-
-    def test_with_injected_transport_runs_a_campaign(
-        self, tmp_path, cold_caches
-    ):
-        manifest = _manifest(
-            tmp_path, executor="kubernetes", shards=1, hosts=("pod-a",),
-            kernels=("addblock",), machines=("mmx64",), ways=(2,),
-        )
-        executor = KubernetesExecutor(
-            hosts=manifest.hosts, transport=_loopback(tmp_path),
-            poll_interval=0.05, timeout=300.0,
-        )
-        report = run_campaign_quiet(manifest, executor)
-        assert report.ok, report.error
 
 
 def run_campaign_quiet(manifest, executor):
